@@ -68,7 +68,7 @@
  * traversal, credit return, hook overhead), hardware counters
  * (instructions, cycles, cache/branch misses; gracefully skipped where
  * perf_event_open is denied) and memory footprint (RSS high-water,
- * arena totals). profile-every=<cycles> sets the router-phase sampling
+ * VC-buffer bytes). profile-every=<cycles> sets the router-phase sampling
  * period (default 64). Sweeps gain per-job wall/queue seconds in the
  * json= output (the only result difference; profile-off output stays
  * byte-identical). With trace= also set, single runs export the
@@ -145,17 +145,25 @@ onStopSignal(int)
     g_stop.store(true);
 }
 
+/** A count that must not be negative; fatal otherwise. */
+long
+nonNegativeOption(const Options &opts, const std::string &key,
+                  long fallback)
+{
+    const long value = opts.getInt(key, fallback);
+    if (value < 0)
+        NOC_FATAL("option " + key + " must not be negative, got: " +
+                  std::to_string(value));
+    return value;
+}
+
 /** A cycle count or interval; fatal on a negative value, which the
  *  cast to Cycle would otherwise turn into ~1.8e19 cycles (a window
  *  that never ends, a scan or sample that never runs). */
 Cycle
 cycleOption(const Options &opts, const std::string &key, long fallback)
 {
-    const long cycles = opts.getInt(key, fallback);
-    if (cycles < 0)
-        NOC_FATAL("option " + key + " must not be negative, got: " +
-                  std::to_string(cycles));
-    return static_cast<Cycle>(cycles);
+    return static_cast<Cycle>(nonNegativeOption(opts, key, fallback));
 }
 
 RunHealthConfig
@@ -417,9 +425,14 @@ runMulti(const Options &opts, const SimConfig &base,
     const bool resume = opts.getBool("resume", false);
     if (resume && journal_path.empty())
         NOC_FATAL("resume=1 needs journal=<path> to replay from");
-    const auto deadline_ms = opts.getInt("job-deadline-ms", 0);
-    const auto retries = opts.getInt("job-retries", 1);
-    const auto backoff_ms = opts.getInt("job-backoff-ms", 0);
+    // A negative deadline or backoff, or fewer than one attempt, would
+    // otherwise read as no deadline, no backoff or one attempt.
+    const long deadline_ms = nonNegativeOption(opts, "job-deadline-ms", 0);
+    const long retries = opts.getInt("job-retries", 1);
+    if (retries < 1 || retries > std::numeric_limits<int>::max())
+        NOC_FATAL("option job-retries must be an attempt count of at "
+                  "least 1, got: " + std::to_string(retries));
+    const long backoff_ms = nonNegativeOption(opts, "job-backoff-ms", 0);
 
     const bool traced = opts.has("benchmark");
     const std::string bench_name = opts.getString("benchmark", "fma3d");

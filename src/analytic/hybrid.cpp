@@ -41,7 +41,7 @@ HybridPlan::detailedCount() const
 
 HybridPlan
 planHybridSweep(const std::vector<HybridPoint> &points,
-                AnalyticNetworkModel &model, double budgetFraction)
+                AnalyticNetworkModel &model)
 {
     HybridPlan plan;
     plan.estimates.reserve(points.size());
@@ -130,7 +130,7 @@ planHybridSweep(const std::vector<HybridPoint> &points,
                      });
 
     const int budget = std::max(
-        1, static_cast<int>(points.size() * budgetFraction));
+        1, static_cast<int>(points.size() * kDetailedFraction));
     int picked = 0;
     for (const auto &[tier, index] : candidates) {
         if (picked >= budget)

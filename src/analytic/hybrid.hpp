@@ -51,15 +51,17 @@ struct HybridPlan
  */
 inline constexpr double kKneeFactor = 1.75;
 
+/** Share of a hybrid sweep's points allowed to run cycle-accurately. */
+inline constexpr double kDetailedFraction = 0.2;
+
 /**
  * Screen `points` with `model` and pick the detailed frontier. At most
- * max(1, floor(points.size() * budgetFraction)) points are marked
+ * max(1, floor(points.size() * kDetailedFraction)) points are marked
  * detailed; selection and ordering are deterministic functions of the
  * input order.
  */
 HybridPlan planHybridSweep(const std::vector<HybridPoint> &points,
-                           AnalyticNetworkModel &model,
-                           double budgetFraction = 0.2);
+                           AnalyticNetworkModel &model);
 
 } // namespace noc
 

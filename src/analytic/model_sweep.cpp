@@ -73,8 +73,7 @@ runModelSweep(const SweepRunner &runner, const std::vector<SweepJob> &jobs,
                           jobs[i].analytic.load,
                           jobs[i].analytic.packetSize});
     }
-    const HybridPlan plan =
-        planHybridSweep(points, model, options.detailedFraction);
+    const HybridPlan plan = planHybridSweep(points, model);
 
     std::vector<SweepJob> detailedJobs;
     std::vector<std::size_t> detailedAt;

@@ -35,8 +35,6 @@ struct ModelSweepOptions
 {
     ModelKind kind = ModelKind::Detailed;
     Calibration calibration = Calibration::defaults();
-    /// Hybrid: fraction of jobs allowed to run cycle-accurately.
-    double detailedFraction = 0.2;
 };
 
 /**

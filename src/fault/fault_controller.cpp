@@ -384,9 +384,9 @@ FaultController::linkChurnUp(LinkState &ls, Cycle now)
     ++generation_;
     reachDirty_ = true;
     queueTeardowns(ls);
-    // The outage was no fault of the protocol: deferred flits resume in
-    // sequence order with a fresh retry budget.
-    ls.retryCount = 0;
+    // Deferred flits resume in sequence order. The retry count carries
+    // over: only an ACK that makes progress clears it (onAck), so a link
+    // that also flaps is still declared dead once it stops delivering.
     for (RetryEntry &entry : ls.retryBuf) {
         transmit(ls, entry, now);
         ++report_.flitsResumed;

@@ -704,7 +704,7 @@ Network::setProfiler(PhaseProfiler *prof)
         router->setProfiler(prof);
     if (prof && prof->config().memory) {
         for (const auto &router : routers_)
-            prof->noteArena(router->arenaBytes(), router->arenaChunks());
+            prof->noteArena(router->arenaBytes());
     }
 }
 

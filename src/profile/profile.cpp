@@ -171,8 +171,6 @@ PhaseProfiler::report() const
         rep.memory = mem_;
         rep.memoryValid = readProcMemory(rep.memory) ||
                           mem_.arenaBytes > 0;
-        rep.memory.arenaBytes = mem_.arenaBytes;
-        rep.memory.arenaChunks = mem_.arenaChunks;
     }
     return rep;
 }
@@ -219,16 +217,14 @@ formatProfileReport(const ProfileReport &report)
     out += buf;
     if (report.memoryValid) {
         std::snprintf(buf, sizeof(buf),
-                      "  memory: rss %llu KiB, peak %llu KiB, arenas "
-                      "%llu KiB in %llu chunks\n",
+                      "  memory: rss %llu KiB, peak %llu KiB, VC buffers "
+                      "%llu KiB\n",
                       static_cast<unsigned long long>(
                           report.memory.rssBytes / 1024),
                       static_cast<unsigned long long>(
                           report.memory.peakRssBytes / 1024),
                       static_cast<unsigned long long>(
-                          report.memory.arenaBytes / 1024),
-                      static_cast<unsigned long long>(
-                          report.memory.arenaChunks));
+                          report.memory.arenaBytes / 1024));
         out += buf;
     }
     return out;

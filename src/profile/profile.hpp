@@ -85,11 +85,10 @@ struct MemorySnapshot
 {
     std::uint64_t rssBytes = 0;       ///< VmRSS, 0 if unavailable
     std::uint64_t peakRssBytes = 0;   ///< VmHWM, 0 if unavailable
-    std::uint64_t arenaBytes = 0;     ///< sum of router arena allocations
-    std::uint64_t arenaChunks = 0;    ///< sum of router arena chunk counts
+    std::uint64_t arenaBytes = 0;     ///< sum of routers' VC flit storage
 };
 
-/** Read VmRSS/VmHWM into `snap` (arena fields untouched); false if the
+/** Read VmRSS/VmHWM into `snap` (arenaBytes untouched); false if the
  *  proc interface is unavailable (non-Linux). */
 bool readProcMemory(MemorySnapshot &snap);
 
@@ -193,12 +192,8 @@ class PhaseProfiler
     /** Count one completed Network::step. */
     void noteCycle() { ++cycles_; }
 
-    /** Fold a router arena's footprint into the memory accounting. */
-    void noteArena(std::uint64_t bytes, std::uint64_t chunks)
-    {
-        mem_.arenaBytes += bytes;
-        mem_.arenaChunks += chunks;
-    }
+    /** Fold a router's VC flit storage into the memory accounting. */
+    void noteArena(std::uint64_t bytes) { mem_.arenaBytes += bytes; }
 
     const Config &config() const { return cfg_; }
     Cycle cycles() const { return cycles_; }

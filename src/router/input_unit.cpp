@@ -16,7 +16,7 @@ InputVc::activate(VcId out_vc, bool express)
 void
 InputVc::noteBypassedFlit(const Flit &flit)
 {
-    NOC_ASSERT(q_.empty(), "buffer bypass with a non-empty VC buffer");
+    NOC_ASSERT(empty(), "buffer bypass with a non-empty VC buffer");
     NOC_ASSERT(state_ == State::Active, "bypassed flit on inactive VC");
     if (isTail(flit.type))
         finishPacket();
@@ -39,8 +39,8 @@ InputVc::finishPacket()
     state_ = State::Idle;
     outVc_ = kInvalidVc;
     outVcExpress_ = false;
-    if (!q_.empty()) {
-        const Flit &next = q_.front().flit;
+    if (!empty()) {
+        const Flit &next = front().flit;
         NOC_ASSERT(isHead(next.type),
                    "non-head flit behind a tail in a VC FIFO");
         startPacket(next.route);

@@ -8,9 +8,9 @@
  * depart). With buffer bypassing, flits may flow through a VC without ever
  * being enqueued; the state machine still tracks the in-flight packet.
  *
- * Flit storage is a FlitRing (vc_state.hpp). Routers bind every VC's
- * ring to arena-backed slots at construction; standalone InputVcs own
- * their storage.
+ * Each VC owns its FIFO: a ring of exactly `bufferDepth` slots, allocated
+ * once at construction, so the cycle loop never touches the heap. Credit
+ * flow control guarantees the ring never overflows (enqueue() asserts it).
  */
 
 #ifndef NOC_ROUTER_INPUT_UNIT_HPP
@@ -19,13 +19,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
 #include "router/flit.hpp"
-#include "router/vc_state.hpp"
 
 namespace noc {
+
+/** A buffered flit plus the first cycle it may leave the buffer. */
+struct BufferedFlit
+{
+    Flit flit;
+    Cycle ready = 0;   ///< buffer write occupies the arrival cycle
+};
 
 class InputVc
 {
@@ -36,54 +41,61 @@ class InputVc
         Active,      ///< output VC allocated; flits compete for the switch
     };
 
+    /** A VC whose FIFO holds `depth` flits. */
+    explicit InputVc(int depth) : slots_(static_cast<std::size_t>(depth)) {}
+
     State state() const { return state_; }
     const RouteDecision &route() const { return route_; }
     VcId outVc() const { return outVc_; }
     /** True when the allocated output VC is an EVC express channel. */
     bool outVcExpress() const { return outVcExpress_; }
 
-    bool empty() const { return q_.empty(); }
-    std::size_t occupancy() const { return q_.size(); }
+    bool empty() const { return size_ == 0; }
+    std::size_t occupancy() const { return size_; }
     /** High-water mark of the FIFO over the whole run (heatmaps). */
     std::size_t peakOccupancy() const { return peak_; }
-    const BufferedFlit &front() const { return q_.front(); }
+    const BufferedFlit &
+    front() const
+    {
+        NOC_ASSERT(size_ > 0, "front of an empty VC");
+        return slots_[head_];
+    }
     bool frontReady(Cycle now) const
     {
-        return !q_.empty() && q_.front().ready <= now;
-    }
-
-    /** Bind flit storage to an external (arena) slice; see FlitRing. */
-    void bindStorage(BufferedFlit *slots, int capacity)
-    {
-        q_.bind(slots, capacity);
+        return size_ > 0 && slots_[head_].ready <= now;
     }
 
     /** Buffer write; caller must have verified space via credits.
      *  Inline: one call per flit-hop on the simulation hot path. */
     void
-    enqueue(const Flit &flit, Cycle ready_at, int buffer_depth)
+    enqueue(const Flit &flit, Cycle ready_at)
     {
-        NOC_ASSERT(static_cast<int>(q_.size()) < buffer_depth,
+        NOC_ASSERT(size_ < slots_.size(),
                    "buffer overflow — credit flow control is broken");
         // If the VC was drained/idle and a head arrives, a new packet
         // starts.
-        if (q_.empty() && state_ == State::Idle) {
+        if (size_ == 0 && state_ == State::Idle) {
             NOC_ASSERT(isHead(flit.type),
                        "body flit arrived at an idle, empty VC");
             startPacket(flit.route);
         }
-        q_.push({flit, ready_at});
-        if (q_.size() > peak_)
-            peak_ = q_.size();
+        std::size_t tail = head_ + size_;
+        if (tail >= slots_.size())
+            tail -= slots_.size();
+        slots_[tail] = {flit, ready_at};
+        if (++size_ > peak_)
+            peak_ = size_;
     }
 
     /** Pop the front flit (switch traversal of a buffered flit). */
     Flit
     dequeue()
     {
-        NOC_ASSERT(!q_.empty(), "dequeue from empty VC");
-        const Flit flit = q_.front().flit;
-        q_.pop();
+        NOC_ASSERT(size_ > 0, "dequeue from empty VC");
+        const Flit flit = slots_[head_].flit;
+        if (++head_ == slots_.size())
+            head_ = 0;
+        --size_;
         if (isTail(flit.type))
             finishPacket();
         return flit;
@@ -118,43 +130,15 @@ class InputVc
     /** Sentinel: no failed-VA memo (ports start at version 0). */
     static constexpr std::uint64_t kNoVaFail = ~std::uint64_t{0};
 
-    FlitRing q_;
+    std::vector<BufferedFlit> slots_;  ///< the FIFO ring, `depth` slots
+    std::size_t head_ = 0;             ///< slot of the front flit
+    std::size_t size_ = 0;             ///< flits buffered
     std::size_t peak_ = 0;
     State state_ = State::Idle;
     RouteDecision route_;
     VcId outVc_ = kInvalidVc;
     bool outVcExpress_ = false;
     std::uint64_t vaFailStamp_ = kNoVaFail;
-};
-
-/** One router input port: VCs plus single-cycle bypass latches. */
-class InputPort
-{
-  public:
-    /** Standalone port: VCs own (and grow) their flit storage. */
-    explicit InputPort(int num_vcs) : vcs_(num_vcs) {}
-
-    /**
-     * Router port: every VC is bound to `buffer_depth` contiguous
-     * arena slots, so the steady-state cycle loop never allocates.
-     */
-    InputPort(int num_vcs, int buffer_depth, Arena &arena) : vcs_(num_vcs)
-    {
-        BufferedFlit *slots =
-            arena.allocate<BufferedFlit>(static_cast<std::size_t>(num_vcs) *
-                                         static_cast<std::size_t>(buffer_depth));
-        for (int v = 0; v < num_vcs; ++v)
-            vcs_[v].bindStorage(slots + static_cast<std::size_t>(v) *
-                                            buffer_depth,
-                                buffer_depth);
-    }
-
-    InputVc &vc(VcId v) { return vcs_[v]; }
-    const InputVc &vc(VcId v) const { return vcs_[v]; }
-    int numVcs() const { return static_cast<int>(vcs_.size()); }
-
-  private:
-    std::vector<InputVc> vcs_;
 };
 
 } // namespace noc

@@ -39,9 +39,9 @@ Router::Router(const SimConfig &cfg, const Topology &topo,
     NOC_ASSERT(cfg.numVcs <= kMaxVcs,
                "more VCs than an occupancy word holds");
 
-    inputs_.reserve(num_in);
-    for (int p = 0; p < num_in; ++p)
-        inputs_.emplace_back(cfg.numVcs, cfg.bufferDepth, arena_);
+    vcs_.reserve(static_cast<std::size_t>(num_in) * cfg.numVcs);
+    for (int i = 0; i < num_in * cfg.numVcs; ++i)
+        vcs_.emplace_back(cfg.bufferDepth);
 
     outputs_.reserve(num_out);
     for (int p = 0; p < num_out; ++p) {
@@ -123,8 +123,8 @@ Router::deliverFlit(PortId in_port, const Flit &flit, Cycle now)
     if (bbEnabled_ && tryBufferBypass(in_port, flit, now))
         return;
 
-    InputVc &vc = inputs_[in_port].vc(flit.vc);
-    vc.enqueue(flit, now + 1, cfg_.bufferDepth);   // BW occupies this cycle
+    InputVc &vc = inVc(in_port, flit.vc);
+    vc.enqueue(flit, now + 1);   // BW occupies this cycle
     vcOcc_[in_port] |= 1ull << flit.vc;
     portOcc_ |= 1ull << in_port;
     ++stats_.bufferWrites;
@@ -180,7 +180,7 @@ Router::tryBufferBypass(PortId in_port, const Flit &flit, Cycle now)
     const PseudoCircuitUnit::Register &reg = pc_.at(in_port);
     if (!reg.valid || reg.inVc != flit.vc)
         return false;
-    InputVc &vc = inputs_[in_port].vc(flit.vc);
+    InputVc &vc = inVc(in_port, flit.vc);
     if (!vc.empty())
         return false;
     NOC_ASSERT(!(bypassLatched_ & (1ull << in_port)),
@@ -224,7 +224,7 @@ Router::tryBufferBypass(PortId in_port, const Flit &flit, Cycle now)
 Flit
 Router::dequeueTracked(PortId in_port, VcId in_vc)
 {
-    InputVc &vc = inputs_[in_port].vc(in_vc);
+    InputVc &vc = inVc(in_port, in_vc);
     const Flit flit = vc.dequeue();
     if (vc.empty()) {
         vcOcc_[in_port] &= ~(1ull << in_vc);
@@ -291,7 +291,7 @@ Router::switchPhase(Cycle now)
             ++stats_.wastedGrants;   // preempted by an express flit
             continue;
         }
-        InputVc &vc = inputs_[g.inPort].vc(g.inVc);
+        InputVc &vc = inVc(g.inPort, g.inVc);
         NOC_ASSERT(vc.state() == InputVc::State::Active,
                    "switch grant for an inactive VC");
         NOC_ASSERT(vc.frontReady(now), "switch grant for an absent flit");
@@ -309,7 +309,7 @@ Router::switchPhase(Cycle now)
     for (std::uint64_t ins = bypassLatched_; ins != 0; ins &= ins - 1) {
         const PortId in = lowestSetBit(ins);
         const Flit &flit = bypassLatch_[in];
-        InputVc &vc = inputs_[in].vc(flit.vc);
+        InputVc &vc = inVc(in, flit.vc);
         NOC_ASSERT(vc.state() == InputVc::State::Active,
                    "latched flit on an inactive VC");
         const RouteDecision route = vc.route();
@@ -338,7 +338,7 @@ Router::switchPhase(Cycle now)
         const PseudoCircuitUnit::Register &reg = pc_.at(in);
         if (usedOut_ & (1ull << reg.route.outPort))
             continue;
-        InputVc &vc = inputs_[in].vc(reg.inVc);
+        InputVc &vc = inVc(in, reg.inVc);
         if (!vc.frontReady(now))
             continue;
         const Flit &front = vc.front().flit;
@@ -400,9 +400,9 @@ Router::processSaGrant(const SaGrant &g, Cycle now)
                     g.inPort, g.inVc);
     if (pcEnabled_)
         pc_.onGrant(g.inPort, g.inVc,
-                    inputs_[g.inPort].vc(g.inVc).route(), now);
+                    inputVc(g.inPort, g.inVc).route(), now);
     NOC_VCHK(vchk_, onSaGrant(id_, g.inPort, g.inVc,
-                              inputs_[g.inPort].vc(g.inVc).route(),
+                              inputVc(g.inPort, g.inVc).route(),
                               now));
     pendingGrants_.push_back(g);
 }
@@ -421,7 +421,7 @@ Router::vaPhase(Cycle now)
     auto visit = [&](PortId in, std::uint64_t vcs) {
         for (; vcs != 0; vcs &= vcs - 1) {
             const VcId v = lowestSetBit(vcs);
-            InputVc &vc = inputs_[in].vc(v);
+            InputVc &vc = inVc(in, v);
             if (vc.state() == InputVc::State::WaitingVa &&
                 vc.frontReady(now))
                 doVa(in, v, now);
@@ -450,7 +450,7 @@ Router::saPhase(Cycle now)
         const PortId in = lowestSetBit(ports);
         for (std::uint64_t vcs = vcOcc_[in]; vcs != 0; vcs &= vcs - 1) {
             const VcId v = lowestSetBit(vcs);
-            const InputVc &vc = inputs_[in].vc(v);
+            const InputVc &vc = inputVc(in, v);
             if (!vc.frontReady(now))
                 continue;
             // Flits that will ride the standing pseudo-circuit do not
@@ -491,7 +491,7 @@ Router::saPhase(Cycle now)
 void
 Router::doVa(PortId in_port, VcId in_vc, Cycle now)
 {
-    InputVc &vc = inputs_[in_port].vc(in_vc);
+    InputVc &vc = inVc(in_port, in_vc);
     const Flit &head = vc.front().flit;
     NOC_ASSERT(isHead(head.type), "VA requested by a non-head flit");
     const RouteDecision &route = vc.route();
@@ -552,7 +552,7 @@ Router::willUseCircuit(PortId in_port, VcId in_vc) const
     const PseudoCircuitUnit::Register &reg = pc_.at(in_port);
     if (!reg.valid || reg.inVc != in_vc)
         return false;
-    const InputVc &vc = inputs_[in_port].vc(in_vc);
+    const InputVc &vc = inputVc(in_port, in_vc);
     if (vc.state() == InputVc::State::Active) {
         return vc.route() == reg.route && !vc.outVcExpress() &&
             outputs_[reg.route.outPort]
@@ -684,7 +684,7 @@ Router::creditTerminations(Cycle now)
         if (outputs_[reg.route.outPort].anyCredit(reg.route.drop, 0,
                                                   cfg_.numVcs))
             continue;
-        const InputVc &vc = inputs_[in].vc(reg.inVc);
+        const InputVc &vc = inputVc(in, reg.inVc);
         const bool streaming = vc.state() == InputVc::State::Active &&
             vc.route() == reg.route && !vc.outVcExpress();
         if (!streaming)

@@ -44,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/config.hpp"
 #include "common/types.hpp"
 #include "router/evc.hpp"
@@ -117,7 +116,10 @@ class Router
            const RoutingAlgorithm &routing, RouterId id);
 
     RouterId id() const { return id_; }
-    int numInputPorts() const { return static_cast<int>(inputs_.size()); }
+    int numInputPorts() const
+    {
+        return static_cast<int>(vcs_.size()) / cfg_.numVcs;
+    }
     int numOutputPorts() const { return static_cast<int>(outputs_.size()); }
     int numVcs() const { return cfg_.numVcs; }
 
@@ -181,9 +183,12 @@ class Router
      *  cycles (PhaseProfiler::fine()). */
     void setProfiler(PhaseProfiler *prof) { prof_ = prof; }
 
-    /** Bytes the per-router arena has allocated (VC flit storage). */
-    std::uint64_t arenaBytes() const { return arena_.bytesAllocated(); }
-    std::uint64_t arenaChunks() const { return arena_.numChunks(); }
+    /** Bytes of VC flit storage: ports x VCs x depth slots. */
+    std::uint64_t arenaBytes() const
+    {
+        return vcs_.size() * static_cast<std::uint64_t>(cfg_.bufferDepth) *
+               sizeof(BufferedFlit);
+    }
 
     /** Flits/credits produced by the latest step(); caller clears. */
     std::vector<SentFlit> sentFlits;
@@ -194,7 +199,7 @@ class Router
     const PseudoCircuitUnit &pcUnit() const { return pc_; }
     const InputVc &inputVc(PortId p, VcId v) const
     {
-        return inputs_[p].vc(v);
+        return vcs_[static_cast<std::size_t>(p) * cfg_.numVcs + v];
     }
     const OutputPort &outputPort(PortId p) const { return outputs_[p]; }
 
@@ -202,6 +207,11 @@ class Router
     std::uint64_t dryOutputs() const { return dryOut_; }
 
   private:
+    InputVc &inVc(PortId p, VcId v)
+    {
+        return vcs_[static_cast<std::size_t>(p) * cfg_.numVcs + v];
+    }
+
     bool pendingUsesInput(PortId in_port) const;
     bool pendingUsesOutput(PortId out_port) const;
 
@@ -277,12 +287,7 @@ class Router
     const bool bbEnabled_;    ///< buffer bypassing (+B, §4.B)
     const bool evcEnabled_;   ///< express virtual channels (§7.B)
 
-    /// Backs every VC's flit-slot storage (one contiguous
-    /// [port][vc][slot] block); must outlive inputs_, hence declared
-    /// before it.
-    Arena arena_;
-
-    std::vector<InputPort> inputs_;
+    std::vector<InputVc> vcs_;   ///< [port * numVcs + vc]
     std::vector<OutputPort> outputs_;
     PseudoCircuitUnit pc_;
     EvcUnit evc_;

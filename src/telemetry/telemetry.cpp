@@ -101,31 +101,27 @@ RingBufferCollector::RingBufferCollector(const TelemetryConfig &cfg)
     : TelemetrySink(cfg)
 {
     NOC_ASSERT(cfg_.capacity > 0, "telemetry ring needs capacity");
-    ring_.resize(cfg_.capacity);
 }
 
 void
 RingBufferCollector::push(const TelemetryEvent &ev)
 {
-    if (size_ == ring_.size())
-        ++counters_.dropped;   // overwriting the oldest event
-    else
-        ++size_;
+    if (ring_.size() < cfg_.capacity) {
+        ring_.push_back(ev);
+        return;
+    }
+    ++counters_.dropped;   // overwriting the oldest event
     ring_[head_] = ev;
-    head_ = (head_ + 1) % ring_.size();
+    if (++head_ == ring_.size())
+        head_ = 0;
 }
 
 std::vector<TelemetryEvent>
 RingBufferCollector::events() const
 {
-    std::vector<TelemetryEvent> out;
-    out.reserve(size_);
-    // Oldest event sits at head_ once the ring has wrapped.
-    const std::size_t first =
-        size_ == ring_.size() ? head_ : (head_ + ring_.size() - size_) %
-                                            ring_.size();
-    for (std::size_t i = 0; i < size_; ++i)
-        out.push_back(ring_[(first + i) % ring_.size()]);
+    // The oldest event sits at head_ (slot 0 until the ring wraps).
+    std::vector<TelemetryEvent> out(ring_.begin() + head_, ring_.end());
+    out.insert(out.end(), ring_.begin(), ring_.begin() + head_);
     return out;
 }
 

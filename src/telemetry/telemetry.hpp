@@ -79,7 +79,7 @@ const char *toString(TelemetryEventClass cls);
  */
 std::uint32_t telemetryMaskFromSpec(const std::string &spec);
 
-/** One recorded event; 16 bytes, trivially copyable. */
+/** One recorded event; 24 bytes, trivially copyable. */
 struct TelemetryEvent
 {
     Cycle cycle = 0;
@@ -104,7 +104,8 @@ struct TelemetryConfig
     Cycle startCycle = 0;     ///< sampling window, inclusive
     Cycle endCycle = kNeverCycle;
     std::uint32_t classMask = kAllTelemetryClasses;
-    std::size_t capacity = std::size_t{1} << 20;  ///< ring slots
+    /// Events a collector keeps; past it the oldest are overwritten.
+    std::size_t capacity = std::size_t{1} << 20;
 };
 
 /** Rolled-up per-class event counts (merged into SimResult). */
@@ -169,9 +170,9 @@ recordTelemetry(TelemetrySink *sink, TelemetryEventClass cls, Cycle now,
 }
 
 /**
- * Bounded single-producer collector: a preallocated ring that
- * overwrites the oldest event once full (counted as dropped), so a
- * long run keeps its most recent window. events() returns the
+ * Bounded single-producer collector: appends events until it holds
+ * `capacity` of them, then overwrites the oldest (counted as dropped),
+ * so a long run keeps its most recent window. events() returns the
  * surviving events oldest-first.
  */
 class RingBufferCollector : public TelemetrySink
@@ -182,15 +183,14 @@ class RingBufferCollector : public TelemetrySink
     /** Surviving events in chronological (record) order. */
     std::vector<TelemetryEvent> events() const;
 
-    std::size_t size() const { return size_; }
+    std::size_t size() const { return ring_.size(); }
 
   protected:
     void push(const TelemetryEvent &ev) override;
 
   private:
-    std::vector<TelemetryEvent> ring_;
-    std::size_t head_ = 0;   ///< next slot to write
-    std::size_t size_ = 0;   ///< live events (<= capacity)
+    std::vector<TelemetryEvent> ring_;  ///< grows to capacity, then wraps
+    std::size_t head_ = 0;   ///< oldest event, next to overwrite once full
 };
 
 /** One run's worth of collected telemetry, labelled for exporters. */

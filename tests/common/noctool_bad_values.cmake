@@ -4,7 +4,10 @@
 # (trailing text included), and a packet= size below 1 must each be
 # fatal, exit 1 with a message naming the key and the bad value. Cycle
 # keys are checked on a single run; load= and packet= in every mode
-# (single, sweep, calibrate, analytic), which share one rule. A negative
+# (single, sweep, calibrate, analytic), which share one rule. The sweep
+# resilience keys must be in range too: job-retries= at least 1,
+# job-deadline-ms= and job-backoff-ms= not negative (each used to be
+# read as one attempt, no deadline or no backoff). A negative
 # window used to run for ~1.8e19 cycles, so the short ctest TIMEOUT is
 # part of the contract; an out-of-range load or packet size used to
 # abort the run (or the whole sweep) on an assertion.
@@ -72,4 +75,16 @@ foreach(packet 0 -3)
     expect_fatal("${want}" model=analytic load=0.1 packet=${packet})
     expect_fatal("${want}" "calibrate=${WORK}/cal.json" scheme=baseline
                  load=0.1 packet=${packet} warmup=100 measure=300)
+endforeach()
+
+# Sweep resilience keys.
+foreach(retries 0 -3)
+    set(want "option job-retries must be an attempt count of at least 1, got: ${retries}")
+    expect_fatal("${want}" scheme=baseline load=0.05,0.1 job-retries=${retries}
+                 warmup=100 measure=300)
+endforeach()
+foreach(key job-deadline-ms job-backoff-ms)
+    expect_fatal("option ${key} must not be negative, got: -5"
+                 scheme=baseline load=0.05,0.1 ${key}=-5
+                 warmup=100 measure=300)
 endforeach()

@@ -327,5 +327,39 @@ TEST(ChurnScenario, InFlightPacketsAreReportedAtDrainTimeout)
     EXPECT_TRUE(v.ok) << v.message;
 }
 
+TEST(ChurnScenario, KillLinkOnAFlappingLinkIsDeclaredDead)
+{
+    // Link 2>3 is killed at cycle 374 while a period clause also flaps
+    // it (up 317, down 131). No up phase lasts retryLimit (8) timeouts
+    // of 43 cycles, so a retry count reset at every revival would never
+    // reach the limit, leaving the link alive and the drain spinning to
+    // its 10000-cycle watchdog. The count carries over outages, so the
+    // link dies and the run stops within the first thousand cycles with
+    // its books closed.
+    const SimConfig cfg = configFromOptions(Options::parse(
+        {"topology=cmesh", "width=2", "height=2", "concentration=4",
+         "vcs=5", "buffers=5", "scheme=pseudo", "routing=xy", "va=static",
+         "seed=337022",
+         "fault=flip-link:0>1@p0.02,kill-link:2>3@cycle374,retry-timeout=43",
+         "churn=period:2>3@up317/down131"}));
+    auto src = syntheticTraffic(cfg, SyntheticPattern::BitReverse, 0.08, 4);
+    Simulator sim(cfg, std::move(src));
+    InvariantChecker checker;
+    sim.setVerifier(&checker);
+    SimWindows windows;
+    windows.warmup = 300;
+    windows.measure = 250;
+    windows.drainLimit = 20000;
+    const SimResult result = sim.run(windows);
+
+    const FaultReport &f = result.fault;
+    ASSERT_TRUE(f.active);
+    EXPECT_EQ(f.linksKilled, 1u);
+    EXPECT_LT(result.cyclesRun, 2000u);
+    EXPECT_EQ(checker.violationCount(), 0u) << checker.report();
+    const LivenessVerdict v = checkLiveness(f, result.drained);
+    EXPECT_TRUE(v.ok) << v.message;
+}
+
 } // namespace
 } // namespace noc

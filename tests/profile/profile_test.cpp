@@ -66,9 +66,8 @@ TEST(ProcMemory, ReportsResidentSetOnLinux)
 #else
     EXPECT_FALSE(ok);
 #endif
-    // Arena fields belong to the caller; the proc read leaves them be.
+    // The VC-buffer total belongs to the caller; the proc read leaves it be.
     EXPECT_EQ(0u, snap.arenaBytes);
-    EXPECT_EQ(0u, snap.arenaChunks);
 }
 
 TEST(PhaseProfiler, AccumulatesTicksAndCalls)
@@ -177,15 +176,14 @@ TEST(PhaseProfiler, ReportCapturesMemoryWhenAsked)
     PhaseProfiler::Config cfg;
     cfg.memory = true;
     PhaseProfiler prof(cfg);
-    prof.noteArena(4096, 2);
-    prof.noteArena(1024, 1);
+    prof.noteArena(4096);
+    prof.noteArena(1024);
     const ProfileReport rep = prof.report();
 #if defined(__linux__)
     ASSERT_TRUE(rep.memoryValid);
     EXPECT_GT(rep.memory.rssBytes, 0u);
 #endif
     EXPECT_EQ(5120u, rep.memory.arenaBytes);
-    EXPECT_EQ(3u, rep.memory.arenaChunks);
 }
 
 TEST(FormatProfileReport, RendersPhasesSharesAndMemory)

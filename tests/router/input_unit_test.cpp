@@ -17,7 +17,7 @@ makeFlit(FlitType type, PacketId pkt = 1, PortId out = 2)
 
 TEST(InputVc, StartsIdleAndEmpty)
 {
-    InputVc vc;
+    InputVc vc(4);
     EXPECT_EQ(vc.state(), InputVc::State::Idle);
     EXPECT_TRUE(vc.empty());
     EXPECT_FALSE(vc.frontReady(100));
@@ -25,8 +25,8 @@ TEST(InputVc, StartsIdleAndEmpty)
 
 TEST(InputVc, HeadArrivalStartsPacket)
 {
-    InputVc vc;
-    vc.enqueue(makeFlit(FlitType::Head), 5, 4);
+    InputVc vc(4);
+    vc.enqueue(makeFlit(FlitType::Head), 5);
     EXPECT_EQ(vc.state(), InputVc::State::WaitingVa);
     EXPECT_EQ(vc.route().outPort, 2);
     EXPECT_FALSE(vc.frontReady(4));
@@ -35,10 +35,10 @@ TEST(InputVc, HeadArrivalStartsPacket)
 
 TEST(InputVc, ActivateThenDrainPacket)
 {
-    InputVc vc;
-    vc.enqueue(makeFlit(FlitType::Head), 1, 4);
-    vc.enqueue(makeFlit(FlitType::Body), 2, 4);
-    vc.enqueue(makeFlit(FlitType::Tail), 3, 4);
+    InputVc vc(4);
+    vc.enqueue(makeFlit(FlitType::Head), 1);
+    vc.enqueue(makeFlit(FlitType::Body), 2);
+    vc.enqueue(makeFlit(FlitType::Tail), 3);
     vc.activate(1, false);
     EXPECT_EQ(vc.state(), InputVc::State::Active);
     EXPECT_EQ(vc.outVc(), 1);
@@ -53,8 +53,8 @@ TEST(InputVc, ActivateThenDrainPacket)
 
 TEST(InputVc, HeadTailPacketCompletesImmediately)
 {
-    InputVc vc;
-    vc.enqueue(makeFlit(FlitType::HeadTail), 1, 4);
+    InputVc vc(4);
+    vc.enqueue(makeFlit(FlitType::HeadTail), 1);
     vc.activate(0, false);
     vc.dequeue();
     EXPECT_EQ(vc.state(), InputVc::State::Idle);
@@ -62,10 +62,10 @@ TEST(InputVc, HeadTailPacketCompletesImmediately)
 
 TEST(InputVc, BackToBackPacketsInOneFifo)
 {
-    InputVc vc;
-    vc.enqueue(makeFlit(FlitType::HeadTail, 1, 2), 1, 4);
+    InputVc vc(4);
+    vc.enqueue(makeFlit(FlitType::HeadTail, 1, 2), 1);
     Flit second = makeFlit(FlitType::HeadTail, 2, 3);
-    vc.enqueue(second, 2, 4);
+    vc.enqueue(second, 2);
     vc.activate(0, false);
     vc.dequeue();
     // Tail of packet 1 departed: packet 2's route takes over.
@@ -75,7 +75,7 @@ TEST(InputVc, BackToBackPacketsInOneFifo)
 
 TEST(InputVc, BypassedFlitsKeepStateMachineInSync)
 {
-    InputVc vc;
+    InputVc vc(4);
     // Head bypassed: caller starts/activates explicitly.
     vc.startPacket({2, 0});
     vc.activate(1, false);
@@ -89,9 +89,9 @@ TEST(InputVc, BypassedFlitsKeepStateMachineInSync)
 
 TEST(InputVc, OccupancyTracksQueue)
 {
-    InputVc vc;
-    vc.enqueue(makeFlit(FlitType::Head), 1, 4);
-    vc.enqueue(makeFlit(FlitType::Tail), 2, 4);
+    InputVc vc(4);
+    vc.enqueue(makeFlit(FlitType::Head), 1);
+    vc.enqueue(makeFlit(FlitType::Tail), 2);
     EXPECT_EQ(vc.occupancy(), 2u);
     vc.activate(0, false);
     vc.dequeue();
@@ -101,26 +101,17 @@ TEST(InputVc, OccupancyTracksQueue)
 TEST(InputVcDeath, OverflowIsCaught)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    InputVc vc;
-    vc.enqueue(makeFlit(FlitType::Head), 1, 2);
-    vc.enqueue(makeFlit(FlitType::Body), 2, 2);
-    EXPECT_DEATH(vc.enqueue(makeFlit(FlitType::Tail), 3, 2), "overflow");
+    InputVc vc(2);
+    vc.enqueue(makeFlit(FlitType::Head), 1);
+    vc.enqueue(makeFlit(FlitType::Body), 2);
+    EXPECT_DEATH(vc.enqueue(makeFlit(FlitType::Tail), 3), "overflow");
 }
 
 TEST(InputVcDeath, BodyAtIdleEmptyVcIsProtocolViolation)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    InputVc vc;
-    EXPECT_DEATH(vc.enqueue(makeFlit(FlitType::Body), 1, 4), "idle");
-}
-
-TEST(InputPort, HoldsIndependentVcs)
-{
-    InputPort port(4);
-    EXPECT_EQ(port.numVcs(), 4);
-    port.vc(0).enqueue(makeFlit(FlitType::Head), 1, 4);
-    EXPECT_TRUE(port.vc(1).empty());
-    EXPECT_FALSE(port.vc(0).empty());
+    InputVc vc(4);
+    EXPECT_DEATH(vc.enqueue(makeFlit(FlitType::Body), 1), "idle");
 }
 
 } // namespace

@@ -14,8 +14,10 @@
 #include <set>
 #include <vector>
 
+#include "network/network.hpp"
 #include "router/router.hpp"
 #include "routing/routing.hpp"
+#include "topology/fbfly.hpp"
 #include "topology/mesh.hpp"
 
 namespace noc {
@@ -440,6 +442,38 @@ TEST(RouterUnit, BaselineNeverBypasses)
     EXPECT_EQ(rig.router->stats().saBypasses, 0u);
     EXPECT_EQ(rig.router->stats().bufferBypasses, 0u);
     EXPECT_EQ(rig.router->pcStats().created, 0u);
+}
+
+TEST(RouterUnit, VcBuffersHoldPortsTimesVcsTimesDepthSlots)
+{
+    SimConfig cfg;   // 4 VCs of 4 flits
+    const Mesh mesh(4, 4, 1);
+    const auto mesh_routing = makeRouting(RoutingKind::XY, mesh);
+    const Router inner(cfg, mesh, *mesh_routing, mesh.routerAt(1, 1));
+    ASSERT_EQ(inner.numInputPorts(), 5);
+    EXPECT_EQ(inner.arenaBytes(), 5u * 4 * 4 * sizeof(BufferedFlit));
+
+    SimConfig wide;
+    wide.topology = TopologyKind::FlatFly;
+    wide.numVcs = 6;
+    wide.bufferDepth = 5;
+    const FlattenedButterfly fbfly(8, 8, 4);
+    const auto fbfly_routing = makeRouting(RoutingKind::XY, fbfly);
+    const Router router(wide, fbfly, *fbfly_routing, 0);
+    ASSERT_EQ(router.numInputPorts(), 18);   // 4 terminals + 7 + 7
+    EXPECT_EQ(router.arenaBytes(), 18u * 6 * 5 * sizeof(BufferedFlit));
+
+    // The 8x8 mesh's 288 input ports (36 inner routers of 5, 24 edge of
+    // 4, 4 corners of 3): 405,504 bytes at an 88-byte BufferedFlit.
+    cfg.topology = TopologyKind::Mesh;
+    cfg.concentration = 1;
+    cfg.meshWidth = 8;
+    cfg.meshHeight = 8;
+    const Network net(cfg);
+    std::uint64_t total = 0;
+    for (RouterId r = 0; r < 64; ++r)
+        total += net.router(r).arenaBytes();
+    EXPECT_EQ(total, 288u * 4 * 4 * sizeof(BufferedFlit));
 }
 
 } // namespace

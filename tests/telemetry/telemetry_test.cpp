@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <map>
@@ -326,11 +327,18 @@ TEST(Telemetry, RingOverwritesOldestButCountsStayExact)
         per_class_total += t.perClass[static_cast<std::size_t>(c)];
     EXPECT_EQ(per_class_total, t.recorded);
 
-    // The survivors are the newest window, still in order.
+    // The survivors are the newest 64 events of the same run, in order:
+    // the last 64 an uncapped collector records, element for element.
+    TelemetryConfig all = tcfg;
+    all.capacity = std::size_t{1} << 20;
+    RingBufferCollector uncapped(all);
+    runSimulation(cfg, smallTraffic(cfg), smallWindows(), &uncapped);
+    ASSERT_EQ(uncapped.counters().dropped, 0u);
+    const std::vector<TelemetryEvent> full = uncapped.events();
+    ASSERT_EQ(full.size(), t.recorded);
     const std::vector<TelemetryEvent> events = collector.events();
     ASSERT_EQ(events.size(), 64u);
-    for (std::size_t i = 1; i < events.size(); ++i)
-        EXPECT_GE(events[i].cycle, events[i - 1].cycle);
+    EXPECT_TRUE(std::equal(events.begin(), events.end(), full.end() - 64));
 }
 
 TEST(Telemetry, ChromeTraceParsesBackAndTimestampsAreMonotonic)
